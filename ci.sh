@@ -18,10 +18,10 @@ cargo test --workspace -q
 CHAOS_QUICK=1 cargo test -q -p ira --test chaos_sweep
 # Parallel wave-executor smoke: isomorphism vs serial and mid-wave
 # crash/resume at the reduced PAR_QUICK sizes, at the 4-worker pool size
-# the trajectory criterion is stated at. The release pass repeats it with
-# the optimized lock fast path — the configuration the BENCH numbers run
-# under — so a fast-path/slow-path handoff bug cannot hide behind
-# debug-build timing.
+# the trajectory criterion is stated at. The release pass repeats it at
+# optimized timing — the configuration the BENCH numbers run under — so
+# the lock table's wait/wake path (per-entry condvars, recycled entries)
+# is exercised at the interleavings a debug build is too slow to reach.
 PAR_QUICK=1 cargo test -q -p ira --test parallel_exec
 PAR_QUICK=1 cargo test --release -q -p ira --test parallel_exec
 # Disk-chaos smoke (DESIGN.md §14): kill the process at every file-backend

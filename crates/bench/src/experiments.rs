@@ -301,7 +301,7 @@ pub fn exp_ablation(opts: &HarnessOptions) -> Experiment {
             "batch=32+extparent-order",
             Box::new(|cfg: &mut CellConfig| {
                 cfg.ira.batch_size = 32;
-                cfg.ira.order = MigrationOrder::GroupByExternalParent;
+                cfg.ira.order = MigrationOrder::ParentGroup;
             }),
         ),
         (

@@ -16,11 +16,13 @@
 
 use crate::addr::PhysAddr;
 use crate::error::{Error, Result};
-use crate::lockdep::{self, Condvar, LockClass, Mutex};
+use crate::lockdep::{self, Condvar, LockClass, Mutex, MutexGuard};
 use crate::txn::TxnId;
 use obs::{Counter, Gauge, Histogram};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,37 +84,47 @@ impl LockState {
         self.holders.iter().find(|(t, _)| *t == tid).map(|(_, m)| *m)
     }
 
-    /// Whether `tid` may be granted `mode` right now.
-    fn grantable(&self, tid: TxnId, mode: LockMode) -> bool {
-        match self.holder_mode(tid) {
-            Some(LockMode::Exclusive) => true,
-            Some(LockMode::Shared) => match mode {
-                LockMode::Shared => true,
+    /// Grant `mode` to `tid` if it is compatible right now: `Some(upgraded)`
+    /// on a grant, `None` if `tid` has to wait.
+    fn grant(&mut self, tid: TxnId, mode: LockMode) -> Option<bool> {
+        match self.holders.iter().position(|(t, _)| *t == tid) {
+            Some(i) => {
+                let upgrade = mode == LockMode::Exclusive && self.holders[i].1 == LockMode::Shared;
                 // Upgrade: only when sole holder.
-                LockMode::Exclusive => self.holders.len() == 1,
-            },
-            None => match mode {
-                LockMode::Shared => {
-                    self.x_waiters == 0
-                        && !self
-                            .holders
-                            .iter()
-                            .any(|(_, m)| *m == LockMode::Exclusive)
+                if upgrade && self.holders.len() > 1 {
+                    return None;
                 }
-                LockMode::Exclusive => self.holders.is_empty(),
-            },
+                if upgrade {
+                    self.holders[i].1 = LockMode::Exclusive;
+                }
+                Some(upgrade)
+            }
+            None => {
+                let free = match mode {
+                    LockMode::Shared => {
+                        self.x_waiters == 0
+                            && !self
+                                .holders
+                                .iter()
+                                .any(|(_, m)| *m == LockMode::Exclusive)
+                    }
+                    LockMode::Exclusive => self.holders.is_empty(),
+                };
+                if free {
+                    self.holders.push((tid, mode));
+                }
+                free.then_some(false)
+            }
         }
     }
 
-    fn grant(&mut self, tid: TxnId, mode: LockMode) {
-        match self.holders.iter_mut().find(|(t, _)| *t == tid) {
-            Some((_, m)) => {
-                if mode == LockMode::Exclusive {
-                    *m = LockMode::Exclusive;
-                }
-            }
-            None => self.holders.push((tid, mode)),
-        }
+    /// No holder, history or waiter: the entry carries no state and can
+    /// leave the table. (`upgrader` is only set while its owner waits.)
+    fn idle(&self) -> bool {
+        self.holders.is_empty()
+            && self.ever_held.is_empty()
+            && self.x_waiters == 0
+            && self.s_waiters == 0
     }
 }
 
@@ -138,9 +150,6 @@ pub struct LockStats {
     /// Exclusive requests currently queued across all shards; `peak()` is
     /// the deepest the writer queue ever got.
     pub x_waiter_depth: Gauge,
-    /// Acquires or releases completed on the striped atomic fast path,
-    /// without touching a shard mutex or condvar.
-    pub fastpath_hits: Counter,
     /// Times a parked waiter was woken before its deadline. With the old
     /// per-shard broadcast every release woke every waiter; with per-entry
     /// targeted wakeups this stays close to the number of grants handed
@@ -160,153 +169,81 @@ impl LockStats {
         snap.set("lock.upgrades", self.upgrades.get());
         snap.set("lock.upgrade_conflicts", self.upgrade_conflicts.get());
         snap.set("lock.x_waiter_peak", self.x_waiter_depth.peak());
-        snap.set("lock.fastpath_hits", self.fastpath_hits.get());
         snap.set("lock.wakeups", self.wakeups.get());
     }
 }
 
-/// Fast slots per shard. Power of two; the slot index comes from address
-/// hash bits disjoint from the shard-selection bits.
-const FAST_SLOTS: usize = 64;
+/// Multiplicative hash over a raw address; shard selection and the shard's
+/// table both draw their bits from it.
+#[inline]
+fn addr_hash(raw: u64) -> u64 {
+    raw.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
 
-/// `FastSlot.word` bit 0: the slot's micro-spinlock. All other slot fields
-/// are only read or written while this bit is held; critical sections are
-/// a handful of instructions with no blocking, so contenders spin.
-const SPIN: u64 = 1;
-/// Bit 1: the slot records a live fast-path lock.
-const OCCUPIED: u64 = 2;
-/// Bit 2: that lock is exclusive (otherwise shared).
-const MODE_X: u64 = 4;
-
-/// One striped fast-path slot: a single uncontended lock record kept
-/// entirely in atomics, so the hot acquire/release path never touches the
-/// shard mutex. At most two sharers fit; anything richer (more sharers, a
-/// waiter, history tracking) is absorbed into the shard's slow table.
+/// The table hasher: [`addr_hash`], rotated so the table's bucket bits
+/// (the low bits) and control-tag bits (the top seven) both come from the
+/// product's high half, clear of the bits [`LockManager::shard`] spends.
+/// Keys are addresses the store assigned, never outside input, so there
+/// are no crafted collisions for a keyed hasher to defend against.
 #[derive(Default)]
-struct FastSlot {
-    word: AtomicU64,
-    /// Raw address the record is for (valid while `OCCUPIED`).
-    addr: AtomicU64,
-    /// Holder transaction ids (`t1` only meaningful for a two-sharer
-    /// shared record).
-    t0: AtomicU64,
-    t1: AtomicU64,
-    /// Sharer count for a shared record (1 or 2).
-    nshare: AtomicU64,
-}
+struct AddrHasher(u64);
 
-/// Read a fast-slot field. Every field access happens with the slot's
-/// spin bit held, so the bit's Acquire/Release pair provides all the
-/// ordering the fields need.
-#[inline]
-fn fld(a: &AtomicU64) -> u64 {
-    // ordering: Relaxed; the slot spin bit serializes field access
-    a.load(Ordering::Relaxed)
-}
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
 
-/// Write a fast-slot field (same spin-bit protocol as [`fld`]).
-#[inline]
-fn set_fld(a: &AtomicU64, v: u64) {
-    // ordering: Relaxed; the slot spin bit serializes field access
-    a.store(v, Ordering::Relaxed)
-}
-
-/// A fast-path grant decision, computed with the slot's spin bit held:
-/// the word to publish on release, whether the grant was an in-place
-/// upgrade, and up to four pending `(field, value)` slot writes
-/// (0 = `addr`, 1 = `t0`, 2 = `t1`, 3 = `nshare`). `None` backs off to
-/// the slow path.
-type FastDecision = Option<(u64, bool, [Option<(u64, u64)>; 4])>;
-
-impl FastSlot {
-    /// Take the slot's spin bit; returns the word *without* the bit so the
-    /// caller can inspect flags and hand back a (possibly modified) word to
-    /// [`FastSlot::unlock_word`].
-    fn lock_word(&self) -> u64 {
-        loop {
-            // ordering: Relaxed probe; the Acquire CAS below synchronizes
-            let w = self.word.load(Ordering::Relaxed);
-            if w & SPIN == 0 {
-                let claimed = self
-                    .word
-                    // ordering: Acquire pairs with unlock_word's Release
-                    .compare_exchange_weak(w, w | SPIN, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok();
-                if claimed {
-                    return w;
-                }
-            }
-            std::hint::spin_loop();
+    fn write(&mut self, bytes: &[u8]) {
+        // Keys are `u64` and go through `write_u64`; fold anything else.
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
         }
     }
 
-    /// Publish `w` (with the spin bit cleared) as the slot's new state.
-    fn unlock_word(&self, w: u64) {
-        // ordering: Release publishes the slot fields to the next lock_word
-        self.word.store(w & !SPIN, Ordering::Release);
+    #[inline]
+    fn write_u64(&mut self, raw: u64) {
+        self.0 = addr_hash(raw).rotate_right(48);
+    }
+}
+
+/// One shard's lock table. Entries are boxed so a reclaimed one can be
+/// parked on `spare` whole — holder vectors, condvars and all — and handed
+/// to the next address: once the spare list has grown to the shard's peak
+/// number of live entries, acquire and release allocate nothing.
+#[derive(Default)]
+struct Table {
+    entries: HashMap<u64, Box<LockState>, BuildHasherDefault<AddrHasher>>,
+    #[allow(clippy::vec_box)] // a box moves between map and list, never reallocated
+    spare: Vec<Box<LockState>>,
+}
+
+impl Table {
+    /// The entry for `raw`, taking a spare one if the address has none.
+    fn entry(&mut self, raw: u64) -> &mut LockState {
+        let spare = &mut self.spare;
+        self.entries
+            .entry(raw)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
     }
 
-    /// Current holders, for read-only queries. Spin-guarded snapshot.
-    fn holders_of(&self, raw: u64) -> Vec<(TxnId, LockMode)> {
-        let w = self.lock_word();
-        let mut out = Vec::new();
-        if w & OCCUPIED != 0 && fld(&self.addr) == raw {
-            if w & MODE_X != 0 {
-                out.push((TxnId(fld(&self.t0)), LockMode::Exclusive));
-            } else {
-                out.push((TxnId(fld(&self.t0)), LockMode::Shared));
-                if fld(&self.nshare) == 2 {
-                    out.push((TxnId(fld(&self.t1)), LockMode::Shared));
-                }
+    /// The entry of an address the caller is registered on as a waiter.
+    fn waited_on(&mut self, raw: u64) -> &mut LockState {
+        let state = self.entries.get_mut(&raw);
+        state.expect("invariant: an entry is never reclaimed while a waiter is registered on it")
+    }
+
+    /// Move `raw`'s entry to the spare list if it carries no state at all.
+    fn reclaim_if_idle(&mut self, raw: u64) {
+        if let Entry::Occupied(e) = self.entries.entry(raw) {
+            if e.get().idle() {
+                self.spare.push(e.remove());
             }
         }
-        self.unlock_word(w);
-        out
     }
 }
 
 struct Shard {
-    table: Mutex<HashMap<u64, LockState>>,
-    /// Number of addresses with slow-table state in this shard, maintained
-    /// under `table` but read lock-free as the fast-path gate: while any
-    /// entry exists the fast path stands down, so waiter bookkeeping
-    /// (write preference, upgrade pending, history) can't be bypassed.
-    slow_entries: AtomicU64,
-    fast: Box<[FastSlot]>,
-}
-
-impl Shard {
-    #[inline]
-    fn slot(&self, raw: u64) -> &FastSlot {
-        // Multiplicative hash; shard selection uses bits 32.., the slot
-        // picks from a disjoint range so slots spread within a shard.
-        let h = raw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.fast[(h >> 20) as usize % FAST_SLOTS]
-    }
-
-    /// Move any fast-path record for `raw` into `state`. Must run with the
-    /// shard table locked, *after* the entry for `raw` was created (and so
-    /// after `slow_entries` became visible as non-zero): a concurrent fast
-    /// acquire either observed the gate and backed off, or committed under
-    /// the slot spin bit before we take it here — in which case its grant
-    /// is carried over intact.
-    fn absorb(&self, state: &mut LockState, raw: u64) {
-        let slot = self.slot(raw);
-        let w = slot.lock_word();
-        if w & OCCUPIED != 0 && fld(&slot.addr) == raw {
-            if w & MODE_X != 0 {
-                state.grant(TxnId(fld(&slot.t0)), LockMode::Exclusive);
-            } else {
-                state.grant(TxnId(fld(&slot.t0)), LockMode::Shared);
-                if fld(&slot.nshare) == 2 {
-                    state.grant(TxnId(fld(&slot.t1)), LockMode::Shared);
-                }
-            }
-            slot.unlock_word(w & !(OCCUPIED | MODE_X));
-        } else {
-            slot.unlock_word(w);
-        }
-    }
+    table: Mutex<Table>,
 }
 
 /// The lock manager: a sharded lock table with condition-variable waiting.
@@ -326,9 +263,7 @@ impl LockManager {
                 .map(|i| Shard {
                     // The shard index is the lockdep order key: any code
                     // path nesting two shards must take them in index order.
-                    table: Mutex::new(LockClass::LockTableShard, i as u64, HashMap::new()),
-                    slow_entries: AtomicU64::new(0),
-                    fast: (0..FAST_SLOTS).map(|_| FastSlot::default()).collect(),
+                    table: Mutex::new(LockClass::LockTableShard, i as u64, Table::default()),
                 })
                 .collect(),
             default_timeout,
@@ -337,169 +272,9 @@ impl LockManager {
         }
     }
 
-    /// Create the slow-table entry for `raw` if absent, keeping the
-    /// fast-path gate count in step.
-    fn entry_with_count<'t>(
-        shard: &Shard,
-        table: &'t mut HashMap<u64, LockState>,
-        raw: u64,
-    ) -> &'t mut LockState {
-        use std::collections::hash_map::Entry;
-        match table.entry(raw) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                // Either a concurrent fast acquire sees this count and
-                // falls back, or it committed into the slot before our
-                // absorb takes the slot's spin bit (see Shard::absorb).
-                // ordering: SeqCst pairs with the fast path's gate loads
-                shard.slow_entries.fetch_add(1, Ordering::SeqCst);
-                v.insert(LockState::default())
-            }
-        }
-    }
-
-    /// Drop `raw`'s slow-table entry if it carries no state at all,
-    /// reopening the fast-path gate.
-    fn reclaim_if_empty(shard: &Shard, table: &mut HashMap<u64, LockState>, raw: u64) {
-        let empty = table.get(&raw).is_some_and(|s| {
-            s.holders.is_empty() && s.ever_held.is_empty() && s.x_waiters == 0 && s.s_waiters == 0
-        });
-        if empty {
-            table.remove(&raw);
-            // ordering: SeqCst, mirrors entry_with_count's increment
-            shard.slow_entries.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Attempt `mode` on `raw` entirely in the fast slot. `Some(upgraded)`
-    /// on success; `None` falls back to the slow path (conflict, slot
-    /// collision, shard has slow-table state, or history tracking is on —
-    /// ever-held records only live in the table).
-    fn fast_lock(&self, shard: &Shard, tid: TxnId, raw: u64, mode: LockMode) -> Option<bool> {
-        if self.history_tracking() {
-            return None;
-        }
-        // Gate load (see Shard::absorb for the full protocol).
-        // ordering: SeqCst pairs with entry_with_count's increment
-        if shard.slow_entries.load(Ordering::SeqCst) != 0 {
-            return None;
-        }
-        let slot = shard.slot(raw);
-        let w = slot.lock_word();
-        let decision: FastDecision = if w & OCCUPIED == 0 {
-            // Free slot: claim it for this lock.
-            let mode_bit = if mode == LockMode::Exclusive { MODE_X } else { 0 };
-            Some((
-                w | OCCUPIED | mode_bit,
-                false,
-                [Some((0, raw)), Some((1, tid.0)), Some((3, 1)), None],
-            ))
-        } else if fld(&slot.addr) != raw {
-            None // collision: a different address owns the slot
-        } else if w & MODE_X != 0 {
-            if fld(&slot.t0) == tid.0 {
-                Some((w, false, [None, None, None, None])) // re-entrant
-            } else {
-                None
-            }
-        } else {
-            let n = fld(&slot.nshare);
-            let t0 = fld(&slot.t0);
-            let t1 = fld(&slot.t1);
-            let held = t0 == tid.0 || (n == 2 && t1 == tid.0);
-            match mode {
-                LockMode::Shared if held => Some((w, false, [None, None, None, None])),
-                LockMode::Shared if n < 2 => {
-                    Some((w, false, [Some((2, tid.0)), Some((3, 2)), None, None]))
-                }
-                LockMode::Shared => None, // third sharer: absorb to table
-                LockMode::Exclusive if n == 1 && t0 == tid.0 => {
-                    Some((w | MODE_X, true, [None, None, None, None])) // upgrade in place
-                }
-                LockMode::Exclusive => None,
-            }
-        };
-        let Some((new_w, upgraded, writes)) = decision else {
-            slot.unlock_word(w);
-            return None;
-        };
-        // Gate re-check while holding the spin bit. A slow op that created
-        // a table entry after the first gate load would otherwise grant
-        // from the (still-empty) table while we grant from the slot. With
-        // the re-check: either its SeqCst increment is visible here and we
-        // back off, or our commit is SeqCst-ordered before it — and its
-        // absorb then spins on our bit and carries the grant into the table.
-        // ordering: SeqCst pairs with entry_with_count's increment
-        if shard.slow_entries.load(Ordering::SeqCst) != 0 {
-            slot.unlock_word(w);
-            return None;
-        }
-        for write in writes.into_iter().flatten() {
-            let (field, val) = write;
-            match field {
-                0 => set_fld(&slot.addr, val),
-                1 => set_fld(&slot.t0, val),
-                2 => set_fld(&slot.t1, val),
-                _ => set_fld(&slot.nshare, val),
-            }
-        }
-        slot.unlock_word(new_w);
-        self.stats.acquisitions.inc();
-        self.stats.fastpath_hits.inc();
-        if upgraded {
-            self.stats.upgrades.inc();
-        }
-        Some(upgraded)
-    }
-
-    /// Release `tid`'s fast-slot record on `raw`, if the slot holds one.
-    fn fast_unlock(&self, shard: &Shard, tid: TxnId, raw: u64) -> bool {
-        let slot = shard.slot(raw);
-        let w = slot.lock_word();
-        if w & OCCUPIED == 0 || fld(&slot.addr) != raw {
-            slot.unlock_word(w);
-            return false;
-        }
-        let released = if w & MODE_X != 0 {
-            if fld(&slot.t0) == tid.0 {
-                slot.unlock_word(w & !(OCCUPIED | MODE_X));
-                true
-            } else {
-                slot.unlock_word(w);
-                false
-            }
-        } else {
-            let n = fld(&slot.nshare);
-            let t0 = fld(&slot.t0);
-            let t1 = fld(&slot.t1);
-            if t0 == tid.0 {
-                if n == 2 {
-                    set_fld(&slot.t0, t1);
-                    set_fld(&slot.nshare, 1);
-                    slot.unlock_word(w);
-                } else {
-                    slot.unlock_word(w & !OCCUPIED);
-                }
-                true
-            } else if n == 2 && t1 == tid.0 {
-                set_fld(&slot.nshare, 1);
-                slot.unlock_word(w);
-                true
-            } else {
-                slot.unlock_word(w);
-                false
-            }
-        };
-        if released {
-            self.stats.fastpath_hits.inc();
-        }
-        released
-    }
-
     #[inline]
     fn shard(&self, addr: PhysAddr) -> &Shard {
-        // Multiplicative hash over the raw address.
-        let h = addr.to_raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = addr_hash(addr.to_raw());
         &self.shards[(h >> 32) as usize % self.shards.len()]
     }
 
@@ -517,6 +292,23 @@ impl LockManager {
         self.track_history.load(Ordering::SeqCst)
     }
 
+    /// Grant `mode` on `state` to `tid` if it is compatible right now,
+    /// recording history and stats. The one place a lock is granted.
+    fn try_grant(&self, state: &mut LockState, tid: TxnId, mode: LockMode) -> bool {
+        let Some(upgraded) = state.grant(tid, mode) else {
+            return false;
+        };
+        // ordering: advisory flag under the shard lock; staleness only affects history
+        if self.track_history.load(Ordering::Relaxed) && !state.ever_held.contains(&tid) {
+            state.ever_held.push(tid);
+        }
+        self.stats.acquisitions.inc();
+        if upgraded {
+            self.stats.upgrades.inc();
+        }
+        true
+    }
+
     /// Acquire `mode` on `addr` for `tid`, waiting up to the default timeout.
     pub fn lock(&self, tid: TxnId, addr: PhysAddr, mode: LockMode) -> Result<()> {
         self.lock_with_timeout(tid, addr, mode, self.default_timeout)
@@ -530,191 +322,128 @@ impl LockManager {
         mode: LockMode,
         timeout: Duration,
     ) -> Result<()> {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        if self.fast_lock(shard, tid, raw, mode).is_some() {
-            lockdep::txn_lock_acquired(raw);
-            return Ok(());
-        }
-        let deadline = Instant::now() + timeout;
-        let mut table = shard.table.lock();
-        {
-            let state = Self::entry_with_count(shard, &mut table, raw);
-            shard.absorb(state, raw);
-        }
-        let mut registered_x_wait = false;
-        let mut registered_s_wait = false;
-        let mut registered_upgrade = false;
-        let mut wait_started: Option<Instant> = None;
-        let result = loop {
-            let state = table
-                .get_mut(&raw)
-                .expect("invariant: the entry cannot be reclaimed while this waiter is registered on it");
-            if state.grantable(tid, mode) {
-                let upgraded =
-                    state.holder_mode(tid) == Some(LockMode::Shared) && mode == LockMode::Exclusive;
-                state.grant(tid, mode);
-                // ordering: advisory flag under the shard lock; staleness only affects history
-                if self.track_history.load(Ordering::Relaxed)
-                    && !state.ever_held.contains(&tid)
-                {
-                    state.ever_held.push(tid);
-                }
-                self.stats.acquisitions.inc();
-                if upgraded {
-                    self.stats.upgrades.inc();
-                }
-                break Ok(());
-            }
-            if mode == LockMode::Exclusive && state.holder_mode(tid) == Some(LockMode::Shared) {
-                // Upgrade path: if another sharer is already waiting to
-                // upgrade, neither can ever be granted — each holds the
-                // shared lock the other needs released. Fail the later
-                // requester immediately rather than deadlocking until the
-                // timeout.
-                match state.upgrader {
-                    Some(other) if other != tid => {
-                        self.stats.upgrade_conflicts.inc();
-                        break Err(Error::UpgradeConflict {
-                            addr,
-                            by: tid,
-                            with: other,
-                        });
-                    }
-                    _ => {
-                        state.upgrader = Some(tid);
-                        registered_upgrade = true;
-                    }
-                }
-            }
-            if mode == LockMode::Exclusive && !registered_x_wait {
-                state.x_waiters += 1;
-                registered_x_wait = true;
-                self.stats.x_waiter_depth.inc();
-            }
-            if mode == LockMode::Shared && !registered_s_wait {
-                state.s_waiters += 1;
-                registered_s_wait = true;
-            }
-            if wait_started.is_none() {
-                wait_started = Some(Instant::now());
-                self.stats.waits.inc();
-            }
-            // Park on the entry's own condvar for this mode; releases then
-            // wake exactly the requests that became grantable instead of
-            // broadcasting to every waiter in the shard. The Arc clone
-            // outlives the entry borrow (and even entry removal, which the
-            // waiter registrations above prevent anyway).
-            let cv = if mode == LockMode::Exclusive {
-                Arc::clone(&state.cv_x)
-            } else {
-                Arc::clone(&state.cv_s)
-            };
-            if cv.wait_until(&mut table, deadline).timed_out() {
-                // Re-check once: the grant may have raced the timeout.
-                let state = table
-                    .get_mut(&raw)
-                    .expect("invariant: the entry cannot be reclaimed while this waiter is registered on it");
-                if state.grantable(tid, mode) {
-                    let upgraded = state.holder_mode(tid) == Some(LockMode::Shared)
-                        && mode == LockMode::Exclusive;
-                    state.grant(tid, mode);
-                    // ordering: advisory flag under the shard lock; staleness only affects history
-                    if self.track_history.load(Ordering::Relaxed)
-                        && !state.ever_held.contains(&tid)
-                    {
-                        state.ever_held.push(tid);
-                    }
-                    self.stats.acquisitions.inc();
-                    if upgraded {
-                        self.stats.upgrades.inc();
-                    }
-                    break Ok(());
-                }
-                self.stats.timeouts.inc();
-                break Err(Error::LockTimeout { addr, by: tid });
-            }
-            self.stats.wakeups.inc();
+        let mut table = self.shard(addr).table.lock();
+        let result = if self.try_grant(table.entry(raw), tid, mode) {
+            Ok(())
+        } else {
+            self.wait_for_grant(&mut table, tid, addr, mode, timeout)
         };
-        if let Some(started) = wait_started {
-            self.stats.wait_us.record(started.elapsed());
-        }
-        if registered_upgrade {
-            if let Some(state) = table.get_mut(&raw) {
-                if state.upgrader == Some(tid) {
-                    state.upgrader = None;
-                }
-            }
-        }
-        if registered_s_wait {
-            if let Some(state) = table.get_mut(&raw) {
-                state.s_waiters -= 1;
-            }
-        }
-        if registered_x_wait {
-            if let Some(state) = table.get_mut(&raw) {
-                state.x_waiters -= 1;
-                self.stats.x_waiter_depth.dec();
-                // Shared requests that yielded to this exclusive waiter may
-                // now be grantable — but only if no other writer still waits.
-                if state.x_waiters == 0 && state.s_waiters > 0 {
-                    state.cv_s.notify_all();
-                }
-            } else {
-                self.stats.x_waiter_depth.dec();
-            }
-        }
-        if result.is_err() {
-            Self::reclaim_if_empty(shard, &mut table, raw);
-        }
+        drop(table);
         if result.is_ok() {
             lockdep::txn_lock_acquired(raw);
         }
         result
     }
 
+    /// The blocking half of [`LockManager::lock_with_timeout`]: register as
+    /// a waiter on `addr`'s entry, park on the entry's condvar for `mode`
+    /// until granted or `timeout` runs out, then deregister.
+    #[cold]
+    fn wait_for_grant(
+        &self,
+        table: &mut MutexGuard<'_, Table>,
+        tid: TxnId,
+        addr: PhysAddr,
+        mode: LockMode,
+        timeout: Duration,
+    ) -> Result<()> {
+        let raw = addr.to_raw();
+        let state = table.entry(raw);
+        let upgrading =
+            mode == LockMode::Exclusive && state.holder_mode(tid) == Some(LockMode::Shared);
+        if upgrading {
+            // If another sharer is already waiting to upgrade, neither can
+            // ever be granted — each holds the shared lock the other needs
+            // released. Fail the later requester immediately rather than
+            // deadlocking until the timeout.
+            if let Some(other) = state.upgrader.filter(|&o| o != tid) {
+                self.stats.upgrade_conflicts.inc();
+                return Err(Error::UpgradeConflict {
+                    addr,
+                    by: tid,
+                    with: other,
+                });
+            }
+            state.upgrader = Some(tid);
+        }
+        // Park on the entry's own condvar for this mode; releases then wake
+        // exactly the requests that became grantable instead of
+        // broadcasting to every waiter in the shard. The registration keeps
+        // the entry (and so its condvars) in the table until we leave.
+        let cv = if mode == LockMode::Exclusive {
+            state.x_waiters += 1;
+            self.stats.x_waiter_depth.inc();
+            Arc::clone(&state.cv_x)
+        } else {
+            state.s_waiters += 1;
+            Arc::clone(&state.cv_s)
+        };
+        self.stats.waits.inc();
+        let started = Instant::now();
+        let deadline = started + timeout;
+        let result = loop {
+            let timed_out = cv.wait_until(table, deadline).timed_out();
+            if !timed_out {
+                self.stats.wakeups.inc();
+            }
+            let state = table.waited_on(raw);
+            // After a timeout, check once more: the grant may have raced it.
+            if self.try_grant(state, tid, mode) {
+                break Ok(());
+            }
+            if timed_out {
+                self.stats.timeouts.inc();
+                break Err(Error::LockTimeout { addr, by: tid });
+            }
+        };
+        self.stats.wait_us.record(started.elapsed());
+        let state = table.waited_on(raw);
+        if upgrading {
+            state.upgrader = None;
+        }
+        if mode == LockMode::Exclusive {
+            state.x_waiters -= 1;
+            self.stats.x_waiter_depth.dec();
+            // Shared requests that yielded to this exclusive waiter may now
+            // be grantable — but only if no other writer still waits.
+            if state.x_waiters == 0 && state.s_waiters > 0 {
+                state.cv_s.notify_all();
+            }
+        } else {
+            state.s_waiters -= 1;
+        }
+        if result.is_err() {
+            table.reclaim_if_idle(raw);
+        }
+        result
+    }
+
     /// Attempt to acquire without waiting.
     pub fn try_lock(&self, tid: TxnId, addr: PhysAddr, mode: LockMode) -> bool {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        if self.fast_lock(shard, tid, raw, mode).is_some() {
-            lockdep::txn_lock_acquired(raw);
-            return true;
-        }
-        let mut table = shard.table.lock();
-        let state = Self::entry_with_count(shard, &mut table, raw);
-        shard.absorb(state, raw);
-        let granted = if state.grantable(tid, mode) {
-            state.grant(tid, mode);
-            // ordering: advisory flag under the shard lock; staleness only affects history
-            if self.track_history.load(Ordering::Relaxed) && !state.ever_held.contains(&tid) {
-                state.ever_held.push(tid);
-            }
-            self.stats.acquisitions.inc();
-            lockdep::txn_lock_acquired(raw);
-            true
-        } else {
-            false
-        };
+        let mut table = self.shard(addr).table.lock();
+        let granted = self.try_grant(table.entry(raw), tid, mode);
         if !granted {
-            Self::reclaim_if_empty(shard, &mut table, raw);
+            table.reclaim_if_idle(raw);
+        }
+        drop(table);
+        if granted {
+            lockdep::txn_lock_acquired(raw);
         }
         granted
     }
 
     /// Release `tid`'s lock on `addr` (early release or end-of-transaction).
     pub fn unlock(&self, tid: TxnId, addr: PhysAddr) {
-        let shard = self.shard(addr);
         let raw = addr.to_raw();
-        if self.fast_unlock(shard, tid, raw) {
-            lockdep::txn_lock_released(raw);
-            return;
-        }
-        let mut table = shard.table.lock();
-        if let Some(state) = table.get_mut(&raw) {
+        let mut guard = self.shard(addr).table.lock();
+        let table = &mut *guard;
+        if let Entry::Occupied(mut e) = table.entries.entry(raw) {
+            let state = e.get_mut();
             state.holders.retain(|(t, _)| *t != tid);
-            // Targeted wakeup instead of the old shard-wide broadcast: wake
-            // only requests this release could have made grantable.
+            // Targeted wakeup instead of a shard-wide broadcast: wake only
+            // requests this release could have made grantable.
             if state.holders.is_empty() {
                 if state.x_waiters > 0 {
                     // Any one waiting writer can take the lock; the rest
@@ -733,58 +462,40 @@ impl LockManager {
                     state.cv_x.notify_all();
                 }
             }
-            Self::reclaim_if_empty(shard, &mut table, raw);
+            if state.idle() {
+                table.spare.push(e.remove());
+            }
         }
+        drop(guard);
         lockdep::txn_lock_released(raw);
     }
 
     /// The mode `tid` currently holds on `addr`, if any.
     pub fn holds(&self, tid: TxnId, addr: PhysAddr) -> Option<LockMode> {
-        let shard = self.shard(addr);
-        let raw = addr.to_raw();
-        let table = shard.table.lock();
-        if let Some(s) = table.get(&raw) {
-            return s.holder_mode(tid);
-        }
-        shard
-            .slot(raw)
-            .holders_of(raw)
-            .iter()
-            .find(|(t, _)| *t == tid)
-            .map(|(_, m)| *m)
+        let table = self.shard(addr).table.lock();
+        table.entries.get(&addr.to_raw())?.holder_mode(tid)
     }
 
     /// Current holders of `addr` (diagnostics and assertions).
     pub fn holders(&self, addr: PhysAddr) -> Vec<(TxnId, LockMode)> {
-        let shard = self.shard(addr);
-        let raw = addr.to_raw();
-        let table = shard.table.lock();
-        if let Some(s) = table.get(&raw) {
-            return s.holders.clone();
-        }
-        shard.slot(raw).holders_of(raw)
+        let table = self.shard(addr).table.lock();
+        table
+            .entries
+            .get(&addr.to_raw())
+            .map_or_else(Vec::new, |s| s.holders.clone())
     }
 
     /// Every transaction that has ever held a lock on `addr` since history
     /// tracking was enabled (including current holders).
     pub fn ever_holders(&self, addr: PhysAddr) -> Vec<TxnId> {
-        let shard = self.shard(addr);
-        let raw = addr.to_raw();
-        let table = shard.table.lock();
-        let mut out = Vec::new();
-        if let Some(state) = table.get(&raw) {
-            out = state.ever_held.clone();
-            for (t, _) in &state.holders {
-                if !out.contains(t) {
-                    out.push(*t);
-                }
-            }
-            return out;
-        }
-        // Pre-tracking fast-path holders count as current holders.
-        for (t, _) in shard.slot(raw).holders_of(raw) {
-            if !out.contains(&t) {
-                out.push(t);
+        let table = self.shard(addr).table.lock();
+        let Some(state) = table.entries.get(&addr.to_raw()) else {
+            return Vec::new();
+        };
+        let mut out = state.ever_held.clone();
+        for (t, _) in &state.holders {
+            if !out.contains(t) {
+                out.push(*t);
             }
         }
         out
@@ -795,19 +506,21 @@ impl LockManager {
     /// history entries do not accumulate forever.
     pub fn drop_history(&self, tid: TxnId, addrs: &[PhysAddr]) {
         for &addr in addrs {
-            let shard = self.shard(addr);
             let raw = addr.to_raw();
-            let mut table = shard.table.lock();
-            if let Some(state) = table.get_mut(&raw) {
+            let mut table = self.shard(addr).table.lock();
+            if let Some(state) = table.entries.get_mut(&raw) {
                 state.ever_held.retain(|t| *t != tid);
-                Self::reclaim_if_empty(shard, &mut table, raw);
+                table.reclaim_if_idle(raw);
             }
         }
     }
 
     /// Total number of addresses with lock state (diagnostics).
     pub fn table_size(&self) -> usize {
-        self.shards.iter().map(|s| s.table.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.table.lock().entries.len())
+            .sum()
     }
 }
 
@@ -1015,7 +728,7 @@ mod tests {
     }
 
     #[test]
-    fn uncontended_traffic_stays_on_fast_path() {
+    fn uncontended_traffic_leaves_no_table_state() {
         let m = mgr();
         m.lock(TxnId(1), addr(1), LockMode::Exclusive).unwrap();
         m.unlock(TxnId(1), addr(1));
@@ -1023,33 +736,21 @@ mod tests {
         m.lock(TxnId(3), addr(2), LockMode::Shared).unwrap();
         m.unlock(TxnId(2), addr(2));
         m.unlock(TxnId(3), addr(2));
-        // 3 acquires + 3 releases, all conflict-free: every one a hit.
-        assert_eq!(m.stats.fastpath_hits.get(), 6);
         assert_eq!(m.stats.acquisitions.get(), 3);
-        assert_eq!(m.table_size(), 0, "nothing ever reached the slow table");
+        assert_eq!(m.table_size(), 0, "released entries leave the table");
     }
 
     #[test]
-    fn fast_path_upgrade_and_reentrancy() {
+    fn upgrade_and_reentrancy() {
         let m = mgr();
         m.lock(TxnId(1), addr(5), LockMode::Shared).unwrap();
         m.lock(TxnId(1), addr(5), LockMode::Shared).unwrap(); // re-entrant
         m.lock(TxnId(1), addr(5), LockMode::Exclusive).unwrap(); // sole-holder upgrade
         assert_eq!(m.holds(TxnId(1), addr(5)), Some(LockMode::Exclusive));
         assert_eq!(m.stats.upgrades.get(), 1);
-        assert_eq!(m.table_size(), 0);
         m.unlock(TxnId(1), addr(5));
         assert_eq!(m.holds(TxnId(1), addr(5)), None);
-    }
-
-    #[test]
-    fn fast_path_stands_down_under_history_tracking() {
-        let m = mgr();
-        m.set_history_tracking(true);
-        m.lock(TxnId(1), addr(6), LockMode::Shared).unwrap();
-        assert_eq!(m.stats.fastpath_hits.get(), 0);
-        assert_eq!(m.ever_holders(addr(6)), vec![TxnId(1)]);
-        m.unlock(TxnId(1), addr(6));
+        assert_eq!(m.table_size(), 0);
     }
 
     /// Satellite regression for the release-wakeup herd: 16 walkers storm

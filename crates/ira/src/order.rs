@@ -8,8 +8,8 @@
 //! minimize the number of times locks have to be obtained on an external
 //! object."
 //!
-//! [`MigrationOrder::GroupByExternalParent`] reorders the migration queue
-//! so objects sharing an external parent are adjacent; combined with
+//! [`MigrationOrder::ParentGroup`] reorders the migration queue so
+//! objects sharing an external parent are adjacent; combined with
 //! migration batching (Section 4.3), one batched transaction then locks the
 //! shared parent **once** for all of its children instead of once per
 //! child. The trade-off: traversal order is what gives evacuation its
@@ -28,15 +28,12 @@ pub enum MigrationOrder {
     #[default]
     Traversal,
     /// Group objects by a shared external parent, so batched migrations
-    /// lock each external parent once (Section 7).
-    GroupByExternalParent,
-    /// [`GroupByExternalParent`](MigrationOrder::GroupByExternalParent)
-    /// ordering plus parent-group-aware *wave planning*: the parallel
-    /// executor ([`crate::wave::plan_waves_grouped`]) assigns components
-    /// sharing an external anchor to one worker, which batches across
-    /// them so the anchor is locked once per batch instead of once per
-    /// colliding migrator. The serial queue order is identical to
-    /// `GroupByExternalParent`; only multi-worker planning differs.
+    /// lock each external parent once (Section 7). With more than one
+    /// worker the parallel executor also plans parent-group-aware *waves*
+    /// ([`crate::wave::plan_waves_grouped`]): components sharing an
+    /// external anchor go to one worker, which batches across them so the
+    /// anchor is locked once per batch instead of once per colliding
+    /// migrator.
     ParentGroup,
     /// Migrate the listed objects first, in list order; everything else
     /// follows in traversal order. Emitted by plan policies
@@ -55,7 +52,7 @@ pub fn order_queue(
 ) {
     match order {
         MigrationOrder::Traversal => {}
-        MigrationOrder::GroupByExternalParent | MigrationOrder::ParentGroup => {
+        MigrationOrder::ParentGroup => {
             // Group by the (deterministic) smallest external parent; objects
             // with no external parent keep their relative order at the end.
             let mut groups: BTreeMap<PhysAddr, Vec<PhysAddr>> = BTreeMap::new();
@@ -127,7 +124,7 @@ mod tests {
         state.add_parent(o4, a(1, 300)); // intra-partition parent only
         // o5 has no recorded parents.
         let mut ordered = vec![o1, o2, o3, o4, o5];
-        order_queue(&MigrationOrder::GroupByExternalParent, &mut ordered, &state, p);
+        order_queue(&MigrationOrder::ParentGroup, &mut ordered, &state, p);
         // ext1's children are adjacent; parentless objects go last in
         // original relative order.
         let i1 = ordered.iter().position(|&x| x == o1).unwrap();
@@ -156,7 +153,7 @@ mod tests {
         state.add_parent(o1, o2);
         state.add_parent(o2, o1);
         let mut ordered = vec![o1, o2];
-        order_queue(&MigrationOrder::GroupByExternalParent, &mut ordered, &state, p);
+        order_queue(&MigrationOrder::ParentGroup, &mut ordered, &state, p);
         assert_eq!(ordered, vec![o1, o2]);
     }
 }

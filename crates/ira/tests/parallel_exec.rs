@@ -89,8 +89,8 @@ fn parallel_run_is_isomorphic_to_serial() {
     let chain_len = if quick() { 6 } else { 12 };
     // The quick (ci.sh smoke) cell runs at 4 workers — the pool size the
     // MPL-60 trajectory criterion is stated at, and the heaviest exerciser
-    // of the lock fast path and parent-group planning. The full matrix
-    // covers 2 workers as well.
+    // of the lock table's wait/wake path and parent-group planning. The
+    // full matrix covers 2 workers as well.
     let worker_counts: &[usize] = if quick() { &[4] } else { &[2, 4] };
 
     let reference = with_repro_banner(

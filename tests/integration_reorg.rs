@@ -266,7 +266,7 @@ fn external_parent_grouping_reduces_lock_acquisitions() {
         outcome.ira().unwrap().external_parent_locks
     };
     let traversal = build(ira::MigrationOrder::Traversal);
-    let grouped = build(ira::MigrationOrder::GroupByExternalParent);
+    let grouped = build(ira::MigrationOrder::ParentGroup);
     assert!(
         grouped < traversal,
         "grouping must reduce external parent locks ({grouped} vs {traversal})"
