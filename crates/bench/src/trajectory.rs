@@ -6,7 +6,7 @@
 //! {NR, IRA-serial, IRA-4-workers} — with throughput, reorganization
 //! wall-clock, tail walker latency (p99/p99.9 from
 //! [`obs::Histogram::quantile_us`]), and the executor's retry / defer /
-//! throttle / steal counters, plus a workload fingerprint so numbers are
+//! throttle counters, plus a workload fingerprint so numbers are
 //! only ever compared against the same workload. The comparator diffs a
 //! fresh run against the newest prior `BENCH_*.json` and prints
 //! regressions (see [`REGRESSION_RULE`]), so "faster" is a diff anyone can
@@ -85,11 +85,10 @@ pub struct TrajCell {
     pub aborted_attempts: u64,
     pub migrated: u64,
     /// Executor health counters: batch retries, objects deferred to the
-    /// serial tail, throttle pauses, components stolen between workers.
+    /// serial tail, throttle pauses.
     pub retries: u64,
     pub deferred: u64,
     pub throttle_pauses: u64,
-    pub steals: u64,
     pub lock_timeouts: u64,
 }
 
@@ -183,7 +182,6 @@ pub fn run_trajectory(opts: &TrajectoryOptions) -> Trajectory {
                 retries: r.counters.get("ira.retries"),
                 deferred: r.counters.get("ira.deferred"),
                 throttle_pauses: r.counters.get("ira.throttle.pauses"),
-                steals: r.counters.get("db.reorg_wave_steals"),
                 lock_timeouts: r.lock_timeouts,
             });
         }
@@ -240,7 +238,7 @@ impl Trajectory {
                 o,
                 ", \"p99_us\": {}, \"p999_us\": {}, \"committed\": {}, \
                  \"aborted_attempts\": {}, \"migrated\": {}, \"retries\": {}, \
-                 \"deferred\": {}, \"throttle_pauses\": {}, \"steals\": {}, \
+                 \"deferred\": {}, \"throttle_pauses\": {}, \
                  \"lock_timeouts\": {}}}",
                 c.p99_us,
                 c.p999_us,
@@ -250,7 +248,6 @@ impl Trajectory {
                 c.retries,
                 c.deferred,
                 c.throttle_pauses,
-                c.steals,
                 c.lock_timeouts
             );
             o.push_str(if i + 1 < self.cells.len() { ",\n" } else { "\n" });
@@ -516,7 +513,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             "retries",
             "deferred",
             "throttle_pauses",
-            "steals",
             "lock_timeouts",
         ] {
             c.u64_of(key).ok_or(format!("{tag}: missing {key}"))?;
@@ -763,7 +759,6 @@ mod tests {
                     retries: 1,
                     deferred: 2,
                     throttle_pauses: 0,
-                    steals: if mode == "IRA-4w" { 4 } else { 0 },
                     lock_timeouts: 5,
                 });
             }

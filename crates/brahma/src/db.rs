@@ -64,9 +64,6 @@ pub struct DbStats {
     pub reorg_workers: AtomicU64,
     /// Batches completed by parallel reorganization workers.
     pub reorg_wave_batches: AtomicU64,
-    /// Components a parallel reorganization worker stole from another
-    /// worker's deque (work-stealing executor in the `ira` crate).
-    pub reorg_wave_steals: AtomicU64,
 }
 
 impl DbStats {
@@ -90,7 +87,6 @@ impl DbStats {
         snap.set("db.migrations", get(&self.migrations));
         snap.set("db.reorg_workers", get(&self.reorg_workers));
         snap.set("db.reorg_wave_batches", get(&self.reorg_wave_batches));
-        snap.set("db.reorg_wave_steals", get(&self.reorg_wave_steals));
     }
 }
 

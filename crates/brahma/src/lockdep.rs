@@ -86,10 +86,6 @@ pub enum LockClass {
     TraversalShard,
     /// The parallel executor's deferred-chunk list (`ira::driver`).
     WaveDeferred,
-    /// One wave worker's component deque (`ira::driver`); `order_key` is
-    /// the worker index. Never nested: a worker releases its own deque
-    /// before probing a victim's.
-    WaveDeque,
     /// The file backend's staging buffer of encoded-but-unwritten WAL
     /// frames (`storage::FileBackend::stage`). Never held across segment
     /// I/O: the drainer pops a contiguous batch, drops this lock, then
@@ -274,7 +270,6 @@ mod imp {
         "MigrationShard",
         "TraversalShard",
         "WaveDeferred",
-        "WaveDeque",
         "WalStage",
         "FileBackend",
         "TestA",

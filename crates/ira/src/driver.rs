@@ -125,8 +125,9 @@ pub struct IraConfig {
     /// Migrator workers. With `1` (the default) the queue executes
     /// serially, in order. With more, the queue is partitioned into
     /// conflict-disjoint components ([`crate::wave::plan_waves`]) and the
-    /// workers drain them concurrently, each running its own migration
-    /// transactions against the shared mapping and traversal state.
+    /// workers claim them in plan order and drain them concurrently, each
+    /// running its own migration transactions against the shared mapping
+    /// and traversal state.
     pub workers: usize,
     /// Save a reorganizer checkpoint (Section 4.4) every this many batches
     /// during the serial migration loop, in addition to the crash-time
@@ -597,6 +598,61 @@ enum LoopEnd {
     Fatal(StoreError),
 }
 
+/// The step every migration loop (serial, wave worker, serial tail) takes
+/// between two batches: no lock-manager lock may outlive its batch
+/// transaction (crash consistency depends on it), the schedule tracer sees
+/// the boundary as `event`/`key`, and the `ira.batch` fault site fires.
+fn batch_boundary(db: &Database, context: &str, event: &'static str, key: u64) {
+    lockdep::assert_no_txn_locks(context);
+    brahma::sched::point(event, key);
+    db.fault.observe(ira_site::BATCH);
+}
+
+/// One migration loop's contention-throttle window (see
+/// [`ThrottleConfig`]). The serial loop and each wave worker keep their
+/// own window; the run's pause budget is shared through `pauses`.
+struct ThrottleWindow<'a> {
+    throttle: Option<&'a ThrottleConfig>,
+    batches: usize,
+    timeouts_mark: u64,
+}
+
+impl<'a> ThrottleWindow<'a> {
+    fn new(db: &Database, throttle: Option<&'a ThrottleConfig>) -> Self {
+        ThrottleWindow {
+            throttle,
+            batches: 0,
+            timeouts_mark: db.locks.stats.timeouts.get(),
+        }
+    }
+
+    /// Count one finished batch. At the end of a window that saw at least
+    /// `timeout_threshold` lock timeouts, pause once while the budget of
+    /// `max_pauses` lasts.
+    fn batch_done(&mut self, db: &Database, pauses: &AtomicUsize) {
+        let Some(t) = self.throttle else {
+            return;
+        };
+        self.batches += 1;
+        if self.batches < t.window.max(1) {
+            return;
+        }
+        let timeouts_now = db.locks.stats.timeouts.get();
+        if timeouts_now.saturating_sub(self.timeouts_mark) >= t.timeout_threshold
+            && pauses
+                // ordering: a budget counter; no other memory hangs on it
+                .fetch_update(AtomicOrd::Relaxed, AtomicOrd::Relaxed, |p| {
+                    (p < t.max_pauses).then_some(p + 1)
+                })
+                .is_ok()
+        {
+            std::thread::sleep(t.pause);
+        }
+        self.timeouts_mark = db.locks.stats.timeouts.get();
+        self.batches = 0;
+    }
+}
+
 impl ReorgRun<'_> {
     fn worker_ctx(&self, owner: OwnerId) -> WorkerCtx<'_> {
         let retry = RetryPolicy {
@@ -718,10 +774,9 @@ impl ReorgRun<'_> {
     /// time.
     fn run_serial(&mut self) -> Result<(), IraError> {
         let mut ctx = self.worker_ctx(0);
-        let mut window_batches = 0usize;
-        let mut timeouts_mark = self.db.locks.stats.timeouts.get();
+        let mut throttle = ThrottleWindow::new(self.db, self.config.throttle.as_ref());
+        let pauses = AtomicUsize::new(self.throttle_pauses);
         let mut pos = self.pos;
-        let mut pauses = self.throttle_pauses;
         let mut end: Option<LoopEnd> = None;
         while pos < self.state.order.len() {
             // A Crash fault latched anywhere (a walker's lock site, the WAL,
@@ -745,11 +800,12 @@ impl ReorgRun<'_> {
                 }
             }
             pos = batch_end;
-            // Every batch transaction committed or rolled back: the driver
-            // thread must hold no lock-manager locks between batches.
-            lockdep::assert_no_txn_locks("IRA serial driver at batch boundary");
-            brahma::sched::point("ira.batch", pos as u64);
-            self.db.fault.observe(ira_site::BATCH);
+            batch_boundary(
+                self.db,
+                "IRA serial driver at batch boundary",
+                "ira.batch",
+                pos as u64,
+            );
             if let Some(every) = self.config.checkpoint_every {
                 let batches = pos.div_ceil(self.config.batch_size.max(1));
                 if every > 0 && batches.is_multiple_of(every) {
@@ -757,20 +813,7 @@ impl ReorgRun<'_> {
                     self.db.save_reorg_checkpoint(self.partition, ckpt.encode());
                 }
             }
-            if let Some(t) = &self.config.throttle {
-                window_batches += 1;
-                if window_batches >= t.window.max(1) {
-                    let timeouts_now = self.db.locks.stats.timeouts.get();
-                    if timeouts_now.saturating_sub(timeouts_mark) >= t.timeout_threshold
-                        && pauses < t.max_pauses
-                    {
-                        pauses += 1;
-                        std::thread::sleep(t.pause);
-                    }
-                    timeouts_mark = self.db.locks.stats.timeouts.get();
-                    window_batches = 0;
-                }
-            }
+            throttle.batch_done(self.db, &pauses);
             if let Some(n) = self.exec.crash_after_migrations {
                 if self.mapping.len() >= n {
                     end = Some(LoopEnd::Crash);
@@ -784,13 +827,13 @@ impl ReorgRun<'_> {
         let stats = ctx.into_stats();
         self.absorb(stats);
         self.pos = pos;
-        self.throttle_pauses = pauses;
+        self.throttle_pauses = pauses.into_inner();
         self.finish_loop(end)
     }
 
-    /// The parallel migration loop: plan conflict-disjoint components, let
-    /// N workers claim and drain them, then migrate whatever was deferred
-    /// in a serial tail pass.
+    /// The parallel migration loop: plan conflict-disjoint scheduling
+    /// groups, let N workers claim and drain them, then migrate whatever
+    /// was deferred in a serial tail pass.
     fn run_parallel(&mut self) -> Result<(), IraError> {
         let remaining = &self.state.order[self.pos..];
         let wave_plan = if self.config.order == MigrationOrder::ParentGroup {
@@ -819,12 +862,11 @@ impl ReorgRun<'_> {
             .enumerate()
             .map(|(i, &a)| (a, i))
             .collect();
-        // Per-worker group deques with back-stealing (see
-        // [`crate::wave::StealQueue`]): the old shared atomic cursor kept
-        // queue order but let one worker stuck on a huge component idle
-        // the rest of the pool. The deques hand out *scheduling groups*;
-        // for every order but ParentGroup those are exactly the components.
-        let steal_queue = crate::wave::StealQueue::new(wave_plan.groups.len(), nworkers);
+        // One cursor hands out scheduling groups in plan order: a worker
+        // that finishes a group claims the next unclaimed one, so no worker
+        // idles while a group is left, and no group is ever split. For
+        // every order but ParentGroup the groups are exactly the components.
+        let next_group = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let crash = AtomicBool::new(false);
         let fatal: Mutex<Option<StoreError>> = Mutex::new(LockClass::WaveDeferred, 0, None);
@@ -843,7 +885,7 @@ impl ReorgRun<'_> {
         let worker_stats: Vec<WorkerStats> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..nworkers)
                 .map(|w| {
-                    let steal_queue = &steal_queue;
+                    let next_group = &next_group;
                     let stop = &stop;
                     let crash = &crash;
                     let fatal = &fatal;
@@ -852,25 +894,21 @@ impl ReorgRun<'_> {
                     let mut ctx = self.worker_ctx(w);
                     s.spawn(move || {
                         brahma::sched::set_thread_label(&format!("wave-{w}"));
-                        let mut window_batches = 0usize;
-                        let mut timeouts_mark = db.locks.stats.timeouts.get();
+                        let mut throttle = ThrottleWindow::new(db, config.throttle.as_ref());
                         'claim: while !stop.load(AtomicOrd::Relaxed) {
-                            let Some((g, stolen)) = steal_queue.claim(w) else {
+                            // ordering: hands out each index once; plan is read-only
+                            let g = next_group.fetch_add(1, AtomicOrd::Relaxed);
+                            let Some(group) = groups.get(g) else {
                                 break;
                             };
-                            if stolen {
-                                db.stats
-                                    .reorg_wave_steals
-                                    .fetch_add(1, AtomicOrd::Relaxed);
-                            }
-                            let c = groups[g][0];
+                            let c = group[0];
                             brahma::sched::point("wave.claim", c as u64);
                             // Batches span component boundaries within a
                             // group: a multi-component (parent) group's
                             // shared anchor is then locked once per batch,
                             // by one worker, instead of once per component
                             // by colliding workers.
-                            let objs: Vec<PhysAddr> = groups[g]
+                            let objs: Vec<PhysAddr> = group
                                 .iter()
                                 .flat_map(|&ci| components[ci].iter().copied())
                                 .collect();
@@ -915,29 +953,14 @@ impl ReorgRun<'_> {
                                         break 'claim;
                                     }
                                 }
-                                // Workers may not carry locks across a batch
-                                // boundary (crash consistency depends on it).
-                                lockdep::assert_no_txn_locks(
+                                batch_boundary(
+                                    db,
                                     "wave worker at batch boundary",
+                                    "wave.batch",
+                                    c as u64,
                                 );
-                                brahma::sched::point("wave.batch", c as u64);
-                                db.fault.observe(ira_site::BATCH);
                                 db.stats.reorg_wave_batches.fetch_add(1, AtomicOrd::Relaxed);
-                                if let Some(t) = &config.throttle {
-                                    window_batches += 1;
-                                    if window_batches >= t.window.max(1) {
-                                        let timeouts_now = db.locks.stats.timeouts.get();
-                                        if timeouts_now.saturating_sub(timeouts_mark)
-                                            >= t.timeout_threshold
-                                            && pauses.load(AtomicOrd::Relaxed) < t.max_pauses
-                                        {
-                                            pauses.fetch_add(1, AtomicOrd::Relaxed);
-                                            std::thread::sleep(t.pause);
-                                        }
-                                        timeouts_mark = db.locks.stats.timeouts.get();
-                                        window_batches = 0;
-                                    }
-                                }
+                                throttle.batch_done(db, pauses);
                                 if let Some(n) = exec.crash_after_migrations {
                                     if mapping.len() >= n {
                                         crash.store(true, AtomicOrd::Relaxed);
@@ -994,6 +1017,7 @@ impl ReorgRun<'_> {
         if !tail.is_empty() {
             let mut ctx = self.worker_ctx(nworkers);
             let mut end: Option<LoopEnd> = None;
+            let mut done = 0usize;
             for chunk in tail.chunks(self.config.batch_size.max(1)) {
                 if self.db.fault.crash_requested() {
                     end = Some(LoopEnd::Crash);
@@ -1010,7 +1034,13 @@ impl ReorgRun<'_> {
                         break;
                     }
                 }
-                self.db.fault.observe(ira_site::BATCH);
+                done += chunk.len();
+                batch_boundary(
+                    self.db,
+                    "IRA serial tail at batch boundary",
+                    "ira.batch",
+                    done as u64,
+                );
             }
             let stats = ctx.into_stats();
             self.absorb(stats);

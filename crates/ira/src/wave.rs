@@ -19,12 +19,12 @@
 //! The plan is deterministic: components are ordered by their first
 //! object's position in the queue, and objects within a component keep
 //! queue order — so a serial run (one worker draining components in
-//! order) migrates in exactly the original queue order.
+//! order) migrates in exactly the original queue order. The executor hands
+//! scheduling groups out in plan order through one atomic cursor.
 
 use crate::traversal::TraversalState;
-use brahma::lockdep::{LockClass, Mutex};
 use brahma::{PartitionId, PhysAddr};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// The planned waves: disjoint groups of queue objects, safe to migrate
 /// concurrently (one worker per component at a time).
@@ -48,52 +48,6 @@ impl WavePlan {
     /// Total number of objects across all components.
     pub fn objects(&self) -> usize {
         self.components.iter().map(Vec::len).sum()
-    }
-}
-
-/// Work-stealing claim queue for the parallel executor: one deque per
-/// worker, component indices dealt round-robin so each worker starts on
-/// its own run of the plan. A worker drains its own deque from the front;
-/// when empty it steals from the *back* of the first non-empty victim, so
-/// a worker stuck on a huge component no longer idles the rest of the
-/// pool (the shared atomic cursor this replaces had exactly that
-/// pathology). With one worker there is one deque and claim order is
-/// exactly component order — the serial guarantee the module docs
-/// describe. Deque locks never nest: each is released before the next is
-/// probed.
-pub struct StealQueue {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueue {
-    /// Deal `components` component indices round-robin across `workers`
-    /// deques (clamped to at least one).
-    pub fn new(components: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        StealQueue {
-            deques: (0..workers)
-                .map(|w| {
-                    let q: VecDeque<usize> = (w..components).step_by(workers).collect();
-                    Mutex::new(LockClass::WaveDeque, w as u64, q)
-                })
-                .collect(),
-        }
-    }
-
-    /// Claim the next component for `worker`: own front, else a victim's
-    /// back. Returns the component index and whether it was stolen.
-    pub fn claim(&self, worker: usize) -> Option<(usize, bool)> {
-        if let Some(c) = self.deques[worker].lock().pop_front() {
-            return Some((c, false));
-        }
-        let n = self.deques.len();
-        for i in 1..n {
-            let v = (worker + i) % n;
-            if let Some(c) = self.deques[v].lock().pop_back() {
-                return Some((c, true));
-            }
-        }
-        None
     }
 }
 
@@ -210,7 +164,7 @@ pub fn plan_waves(
 ///    a traversal cluster is queue-contiguous — so real clusters
 ///    assemble first and stay whole, while the long random cross-cluster
 ///    "glue" references that otherwise chain the entire queue into one
-///    component (BENCH_7's `steals = 0` pathology: 4 workers, 1
+///    component (BENCH_7's pathology: 4 workers, 1
 ///    component) arrive late, find both sides already cap-sized, and are
 ///    refused. A refused edge becomes a runtime-resolved conflict —
 ///    exactly the retry / defer machinery that already handles external

@@ -1,17 +1,17 @@
-//! Property tests for the wave planner and the work-stealing claim queue.
+//! Property tests for the wave planner.
 //!
 //! `plan_waves` promises three things the parallel executor relies on:
 //! components are pairwise lock-set-disjoint within the reorganized
 //! partition (so workers never serialize or deadlock on planned locks),
 //! every queue object lands in exactly one component, and the plan is a
 //! stable reordering of the queue (queue order within a component,
-//! components by first appearance). The `StealQueue` adds the executor
-//! half: with a single worker, claims come out in exact plan order, so a
-//! conflict-free queue replays in exact queue order; with any worker
-//! count, every component is claimed exactly once.
+//! components by first appearance). The executor hands scheduling groups
+//! out in plan order through one cursor, so a single worker executes the
+//! groups' components in plan order, and a conflict-free queue replays in
+//! exact queue order.
 
 use brahma::{PartitionId, PhysAddr};
-use ira::wave::{plan_waves, plan_waves_grouped, StealQueue};
+use ira::wave::{plan_waves, plan_waves_grouped, WavePlan};
 use ira::TraversalState;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -97,16 +97,11 @@ fn lock_set(state: &TraversalState, o: PhysAddr) -> HashSet<PhysAddr> {
     s
 }
 
-/// Drain a `StealQueue` as the single worker of a one-worker pool,
-/// asserting nothing is ever "stolen" (there is no victim).
-fn drain_single(ncomponents: usize) -> Vec<usize> {
-    let sq = StealQueue::new(ncomponents, 1);
-    let mut order = Vec::new();
-    while let Some((c, stolen)) = sq.claim(0) {
-        assert!(!stolen, "a lone worker cannot steal from itself");
-        order.push(c);
-    }
-    order
+/// The components a lone worker executes, in order: the executor's cursor
+/// hands out scheduling groups in plan order, and a worker drains a
+/// group's components in index order.
+fn claim_order(plan: &WavePlan) -> Vec<usize> {
+    plan.groups.iter().flatten().copied().collect()
 }
 
 proptest! {
@@ -157,7 +152,7 @@ proptest! {
 
         // A single worker claims components in exact plan order, so the
         // executed order is the concatenation of components in order.
-        let claims = drain_single(plan.components.len());
+        let claims = claim_order(&plan);
         prop_assert_eq!(claims, (0..plan.components.len()).collect::<Vec<usize>>());
     }
 
@@ -177,7 +172,7 @@ proptest! {
         let plan = plan_waves(&queue, &state, P);
         prop_assert_eq!(plan.components.len(), queue.len());
 
-        let executed: Vec<PhysAddr> = drain_single(plan.components.len())
+        let executed: Vec<PhysAddr> = claim_order(&plan)
             .into_iter()
             .flat_map(|c| plan.components[c].iter().copied())
             .collect();
@@ -214,45 +209,4 @@ proptest! {
             .collect();
         prop_assert_eq!(executed, queue);
     }
-
-    #[test]
-    fn steal_queue_claims_every_component_exactly_once(
-        ncomponents in 0usize..40,
-        nworkers in 1usize..6,
-        picks in proptest::collection::vec(0usize..6, 0..80),
-    ) {
-        // Interleave claims from random workers, then drain the rest: no
-        // component is lost or double-claimed regardless of schedule.
-        let sq = StealQueue::new(ncomponents, nworkers);
-        let mut claimed = Vec::new();
-        for &p in &picks {
-            if let Some((c, _)) = sq.claim(p % nworkers) {
-                claimed.push(c);
-            }
-        }
-        for w in 0..nworkers {
-            while let Some((c, _)) = sq.claim(w) {
-                claimed.push(c);
-            }
-        }
-        let mut sorted = claimed.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..ncomponents).collect::<Vec<usize>>());
-    }
-}
-
-#[test]
-fn steal_queue_deals_round_robin_and_steals_from_the_back() {
-    let sq = StealQueue::new(5, 2);
-    // Worker 0 owns [0, 2, 4], worker 1 owns [1, 3]; both drain their own
-    // deque front-first. Once worker 0 runs dry it takes the *back* of
-    // worker 1's deque, leaving the victim its front (better locality for
-    // the owner, colder work for the thief).
-    assert_eq!(sq.claim(0), Some((0, false)));
-    assert_eq!(sq.claim(1), Some((1, false)));
-    assert_eq!(sq.claim(0), Some((2, false)));
-    assert_eq!(sq.claim(0), Some((4, false)));
-    assert_eq!(sq.claim(0), Some((3, true)), "thief takes the victim's back");
-    assert_eq!(sq.claim(0), None);
-    assert_eq!(sq.claim(1), None);
 }

@@ -2,8 +2,6 @@
 //! invariants the code comments assert, proved over the source instead
 //! of hoped-for at runtime:
 //!
-//! * the work-stealing executor's `WaveDeque` locks are never nested
-//!   (one deque guard at a time, release before stealing elsewhere);
 //! * `MigrationMap` and `ParentMap` never nest two of their own shards
 //!   (same-class nesting is governed by lockdep's order-key discipline,
 //!   and both structures are written to avoid it entirely — the
@@ -21,7 +19,7 @@ fn graph() -> lint::lockgraph::StaticGraph {
 #[test]
 fn sharded_classes_never_nest_within_themselves() {
     let g = graph();
-    for class in ["WaveDeque", "MigrationShard", "TraversalShard"] {
+    for class in ["MigrationShard", "TraversalShard"] {
         assert!(
             !g.has(class, class),
             "{class} nests within itself somewhere: {:?}",
